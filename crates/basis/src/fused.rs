@@ -10,7 +10,10 @@
 //! N = 4, 6, 8, 10, 12 instantiate const-generic bodies whose compile-time
 //! bounds let the optimizer fully unroll and vectorize; other counts run
 //! the identical body with runtime bounds, so every degree takes the fused
-//! path and the bits never depend on which instantiation executed.
+//! path and the bits never depend on which instantiation executed. The
+//! tensor apply ([`tensor3_rect`]) is specialized the same way for the
+//! square FDM transforms and for the 3/2-rule dealiasing pairs
+//! `n → ⌈3n/2⌉` and back.
 //!
 //! Determinism: for a fixed process the kernel level
 //! ([`crate::simd::level`]) is constant, every loop nest below has a fixed
@@ -370,11 +373,13 @@ pub fn helmholtz_element_scalar(
 }
 
 // ---------------------------------------------------------------------------
-// Fused square tensor apply (the FDM sweep's contraction).
+// Fused tensor apply (the FDM sweep's contraction and the dealiasing
+// interpolation/projection).
 // ---------------------------------------------------------------------------
 
-/// Scratch for [`tensor3`] (two intermediate slabs plus the transposed
-/// first matrix, so pass 1 runs broadcast-FMA like passes 2 and 3).
+/// Scratch for [`tensor3`] and [`tensor3_rect`] (two intermediate slabs
+/// plus the transposed first matrix, so pass 1 runs broadcast-FMA like
+/// passes 2 and 3).
 #[derive(Debug, Default)]
 pub struct Tensor3Scratch {
     t1: Vec<f64>,
@@ -389,14 +394,16 @@ impl Tensor3Scratch {
     }
 }
 
-/// Square tensor-product body `(A3 ⊗ A2 ⊗ A1)·u`, all matrices `n×n`.
+/// Tensor-product body `(A3 ⊗ A2 ⊗ A1)·u` for `m×n` matrices: `u` is an
+/// `n³` slab, `out` an `m³` slab (`m = n` is the square FDM transform).
 /// All three passes are broadcast fused accumulations with no zero-skip
-/// branches; pass 1 contracts against the pre-transposed `a1t` so its
-/// inner loop is contiguous too.
+/// branches; pass 1 contracts against the pre-transposed `a1t` (`n×m`) so
+/// its inner loop is contiguous too.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn tensor3_body(
     n: usize,
+    m: usize,
     a1t: &[f64],
     a2: &[f64],
     a3: &[f64],
@@ -405,51 +412,52 @@ fn tensor3_body(
     t1: &mut [f64],
     t2: &mut [f64],
 ) {
-    let plane = n * n;
-    let nn = plane * n;
-    debug_assert!(u.len() >= nn && out.len() >= nn);
+    let plane_in = n * n;
+    let plane = m * m;
+    debug_assert!(u.len() >= plane_in * n && out.len() >= plane * m);
+    debug_assert!(a1t.len() >= n * m && a2.len() >= m * n && a3.len() >= m * n);
     // The first accumulation term of each pass is a plain multiply — a
     // bit-identical peel of `fma(c·x + 0)`, saving the zero-fill sweep.
     //
-    // Pass 1 — contract x: t1[col·n + a] = Σ_i A1[a,i] u[col·n + i],
+    // Pass 1 — contract x: t1[col·m + a] = Σ_i A1[a,i] u[col·n + i],
     // accumulated as broadcast-FMA along the rows of A1ᵀ.
-    for col in 0..plane {
+    for col in 0..plane_in {
         let uin = &u[col * n..(col + 1) * n];
-        let dst = &mut t1[col * n..(col + 1) * n];
+        let dst = &mut t1[col * m..(col + 1) * m];
         let c0 = uin[0];
-        let row0 = &a1t[..n];
-        for a in 0..n {
+        let row0 = &a1t[..m];
+        for a in 0..m {
             dst[a] = c0 * row0[a];
         }
         for (i, &c) in uin.iter().enumerate().skip(1) {
-            let row = &a1t[i * n..(i + 1) * n];
-            for a in 0..n {
+            let row = &a1t[i * m..(i + 1) * m];
+            for a in 0..m {
                 dst[a] = c.mul_add(row[a], dst[a]);
             }
         }
     }
-    // Pass 2 — contract y: t2[k-slab, b·n + i] = Σ_j A2[b,j] t1[k-slab, j·n + i].
+    // Pass 2 — contract y: t2[k-slab, b·m + a] = Σ_j A2[b,j] t1[k-slab, j·m + a].
     for k in 0..n {
-        let t1k = &t1[k * plane..(k + 1) * plane];
+        let t1k = &t1[k * m * n..(k + 1) * m * n];
         let t2k = &mut t2[k * plane..(k + 1) * plane];
-        for b in 0..n {
-            let dst = &mut t2k[b * n..(b + 1) * n];
+        for b in 0..m {
+            let dst = &mut t2k[b * m..(b + 1) * m];
             let c0 = a2[b * n];
-            let src0 = &t1k[..n];
-            for i in 0..n {
-                dst[i] = c0 * src0[i];
+            let src0 = &t1k[..m];
+            for a in 0..m {
+                dst[a] = c0 * src0[a];
             }
             for j in 1..n {
                 let c = a2[b * n + j];
-                let src = &t1k[j * n..(j + 1) * n];
-                for i in 0..n {
-                    dst[i] = c.mul_add(src[i], dst[i]);
+                let src = &t1k[j * m..(j + 1) * m];
+                for a in 0..m {
+                    dst[a] = c.mul_add(src[a], dst[a]);
                 }
             }
         }
     }
     // Pass 3 — contract z: out[c-plane, idx] = Σ_k A3[c,k] t2[k-plane, idx].
-    for c in 0..n {
+    for c in 0..m {
         let dst = &mut out[c * plane..(c + 1) * plane];
         let m0 = a3[c * n];
         let src0 = &t2[..plane];
@@ -457,17 +465,19 @@ fn tensor3_body(
             dst[i] = m0 * src0[i];
         }
         for k in 1..n {
-            let m = a3[c * n + k];
+            let w = a3[c * n + k];
             let src = &t2[k * plane..(k + 1) * plane];
             for i in 0..plane {
-                dst[i] = m.mul_add(src[i], dst[i]);
+                dst[i] = w.mul_add(src[i], dst[i]);
             }
         }
     }
 }
 
+/// Const-`(N, M)` instantiation; the bounds const-propagate through the
+/// always-inlined body.
 #[inline(always)]
-fn tensor3_fixed<const N: usize>(
+fn tensor3_fixed<const N: usize, const M: usize>(
     a1t: &[f64],
     a2: &[f64],
     a3: &[f64],
@@ -475,12 +485,14 @@ fn tensor3_fixed<const N: usize>(
     out: &mut [f64],
     s: &mut Tensor3Scratch,
 ) {
-    tensor3_body(N, a1t, a2, a3, u, out, &mut s.t1, &mut s.t2);
+    tensor3_body(N, M, a1t, a2, a3, u, out, &mut s.t1, &mut s.t2);
 }
 
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn tensor3_dyn(
     n: usize,
+    m: usize,
     a1t: &[f64],
     a2: &[f64],
     a3: &[f64],
@@ -488,14 +500,41 @@ fn tensor3_dyn(
     out: &mut [f64],
     s: &mut Tensor3Scratch,
 ) {
-    tensor3_body(n, a1t, a2, a3, u, out, &mut s.t1, &mut s.t2);
+    tensor3_body(n, m, a1t, a2, a3, u, out, &mut s.t1, &mut s.t2);
+}
+
+/// Degree dispatch for the tensor apply: the square FDM node counts and
+/// the 3/2-rule dealiasing pairs `n → ⌈3n/2⌉` (and their transposes, the
+/// projection back) run a const-`(N, M)` body; every other shape runs
+/// the same body with runtime bounds.
+macro_rules! tensor3_dispatch {
+    ($n:expr, $m:expr, $fixed:ident, $dyn:ident, $($args:tt)*) => {
+        match ($n, $m) {
+            (4, 4) => $fixed::<4, 4>($($args)*),
+            (6, 6) => $fixed::<6, 6>($($args)*),
+            (8, 8) => $fixed::<8, 8>($($args)*),
+            (10, 10) => $fixed::<10, 10>($($args)*),
+            (12, 12) => $fixed::<12, 12>($($args)*),
+            (4, 6) => $fixed::<4, 6>($($args)*),
+            (6, 9) => $fixed::<6, 9>($($args)*),
+            (8, 12) => $fixed::<8, 12>($($args)*),
+            (10, 15) => $fixed::<10, 15>($($args)*),
+            (12, 18) => $fixed::<12, 18>($($args)*),
+            (6, 4) => $fixed::<6, 4>($($args)*),
+            (9, 6) => $fixed::<9, 6>($($args)*),
+            (12, 8) => $fixed::<12, 8>($($args)*),
+            (15, 10) => $fixed::<15, 10>($($args)*),
+            (18, 12) => $fixed::<18, 12>($($args)*),
+            (n, m) => $dyn(n, m, $($args)*),
+        }
+    };
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-// SAFETY: callers must have verified avx2+fma support (the `tensor3`
+// SAFETY: callers must have verified avx2+fma support (the `tensor3_rect`
 // dispatcher checks via `simd::level()`).
-unsafe fn tensor3_fixed_avx2<const N: usize>(
+unsafe fn tensor3_fixed_avx2<const N: usize, const M: usize>(
     a1t: &[f64],
     a2: &[f64],
     a3: &[f64],
@@ -503,15 +542,17 @@ unsafe fn tensor3_fixed_avx2<const N: usize>(
     out: &mut [f64],
     s: &mut Tensor3Scratch,
 ) {
-    tensor3_fixed::<N>(a1t, a2, a3, u, out, s);
+    tensor3_fixed::<N, M>(a1t, a2, a3, u, out, s);
 }
 
 #[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2,fma")]
-// SAFETY: callers must have verified avx2+fma support (the `tensor3`
+// SAFETY: callers must have verified avx2+fma support (the `tensor3_rect`
 // dispatcher checks via `simd::level()`).
 unsafe fn tensor3_dyn_avx2(
     n: usize,
+    m: usize,
     a1t: &[f64],
     a2: &[f64],
     a3: &[f64],
@@ -519,23 +560,84 @@ unsafe fn tensor3_dyn_avx2(
     out: &mut [f64],
     s: &mut Tensor3Scratch,
 ) {
-    tensor3_dyn(n, a1t, a2, a3, u, out, s);
+    tensor3_dyn(n, m, a1t, a2, a3, u, out, s);
 }
 
-/// Transpose `a1` into the scratch (`n×n`); the resulting slice is what
-/// pass 1 streams contiguously.
-fn transpose_into(at: &mut Vec<f64>, a1: &[f64], n: usize) {
-    at.resize(n * n, 0.0);
-    for r in 0..n {
+/// Size the slabs for an `n³ → m³` apply and transpose `a1` (`m×n`) into
+/// the scratch; the returned buffer (`n×m`) is what pass 1 streams
+/// contiguously. Hand it back through `s.at` after the apply.
+fn tensor3_prepare(s: &mut Tensor3Scratch, a1: &[f64], n: usize, m: usize) -> Vec<f64> {
+    s.t1.resize(m * n * n, 0.0);
+    s.t2.resize(m * m * n, 0.0);
+    let mut at = std::mem::take(&mut s.at);
+    at.resize(n * m, 0.0);
+    for r in 0..m {
         for c in 0..n {
-            at[c * n + r] = a1[r * n + c];
+            at[c * m + r] = a1[r * n + c];
         }
     }
+    at
+}
+
+/// Fused rectangular tensor apply `out = (A3 ⊗ A2 ⊗ A1)·u` for three
+/// `m×n` matrices: `u` holds `n³` nodes, `out` receives `m³` (the
+/// dealiasing interpolation `n → m` and its transpose, the projection
+/// `m → n`). Same dispatch and determinism contract as
+/// [`helmholtz_element`].
+pub fn tensor3_rect(
+    a1: &DMat,
+    a2: &DMat,
+    a3: &DMat,
+    u: &[f64],
+    out: &mut [f64],
+    s: &mut Tensor3Scratch,
+) {
+    let (m, n) = (a1.rows(), a1.cols());
+    debug_assert!(
+        a2.rows() == m && a2.cols() == n && a3.rows() == m && a3.cols() == n,
+        "tensor3_rect requires same-shape matrices"
+    );
+    let at = tensor3_prepare(s, a1.data(), n, m);
+    let (d2, d3) = (a2.data(), a3.data());
+    match simd::level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Avx2Fma is only selected after feature detection.
+        SimdLevel::Avx2Fma => unsafe {
+            tensor3_dispatch!(
+                n,
+                m,
+                tensor3_fixed_avx2,
+                tensor3_dyn_avx2,
+                &at,
+                d2,
+                d3,
+                u,
+                out,
+                s
+            )
+        },
+        _ => tensor3_dispatch!(n, m, tensor3_fixed, tensor3_dyn, &at, d2, d3, u, out, s),
+    }
+    s.at = at;
+}
+
+/// Portable-path twin of [`tensor3_rect`] for the identity tests.
+pub fn tensor3_rect_scalar(
+    a1: &DMat,
+    a2: &DMat,
+    a3: &DMat,
+    u: &[f64],
+    out: &mut [f64],
+    s: &mut Tensor3Scratch,
+) {
+    let (m, n) = (a1.rows(), a1.cols());
+    let at = tensor3_prepare(s, a1.data(), n, m);
+    tensor3_dyn(n, m, &at, a2.data(), a3.data(), u, out, s);
+    s.at = at;
 }
 
 /// Fused square tensor apply `out = (A3 ⊗ A2 ⊗ A1)·u` for `n×n` matrices
-/// (the FDM eigenbasis transforms). Same dispatch and determinism
-/// contract as [`helmholtz_element`].
+/// (the FDM eigenbasis transforms): [`tensor3_rect`] with `m = n`.
 pub fn tensor3(
     a1: &DMat,
     a2: &DMat,
@@ -544,30 +646,8 @@ pub fn tensor3(
     out: &mut [f64],
     s: &mut Tensor3Scratch,
 ) {
-    let n = a1.rows();
-    debug_assert!(
-        a1.cols() == n && a2.rows() == n && a2.cols() == n && a3.rows() == n && a3.cols() == n,
-        "tensor3 requires square same-size matrices"
-    );
-    let nn = n * n * n;
-    s.t1.resize(nn, 0.0);
-    s.t2.resize(nn, 0.0);
-    let mut at = std::mem::take(&mut s.at);
-    transpose_into(&mut at, a1.data(), n);
-    let (d2, d3) = (a2.data(), a3.data());
-    match (simd::level(), n) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2Fma is only selected after feature detection.
-        (SimdLevel::Avx2Fma, 4 | 6 | 8 | 10 | 12) => unsafe {
-            helm_dispatch_n!(n, tensor3_fixed_avx2, &at, d2, d3, u, out, s)
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        (SimdLevel::Avx2Fma, _) => unsafe { tensor3_dyn_avx2(n, &at, d2, d3, u, out, s) },
-        (_, 4 | 6 | 8 | 10 | 12) => helm_dispatch_n!(n, tensor3_fixed, &at, d2, d3, u, out, s),
-        (_, _) => tensor3_dyn(n, &at, d2, d3, u, out, s),
-    }
-    s.at = at;
+    debug_assert_eq!(a1.rows(), a1.cols(), "tensor3 requires square matrices");
+    tensor3_rect(a1, a2, a3, u, out, s);
 }
 
 /// Portable-path twin of [`tensor3`] for the identity tests.
@@ -579,14 +659,7 @@ pub fn tensor3_scalar(
     out: &mut [f64],
     s: &mut Tensor3Scratch,
 ) {
-    let n = a1.rows();
-    let nn = n * n * n;
-    s.t1.resize(nn, 0.0);
-    s.t2.resize(nn, 0.0);
-    let mut at = std::mem::take(&mut s.at);
-    transpose_into(&mut at, a1.data(), n);
-    tensor3_dyn(n, &at, a2.data(), a3.data(), u, out, s);
-    s.at = at;
+    tensor3_rect_scalar(a1, a2, a3, u, out, s);
 }
 
 #[cfg(test)]
@@ -752,6 +825,48 @@ mod tests {
             crate::tensor::tensor_apply3(&a, &b, &c, &u, &mut out3, &mut ts);
             for (f, r) in out.iter().zip(&out3) {
                 assert!((f - r).abs() <= 1e-11 * scale, "n={n} vs legacy");
+            }
+        }
+    }
+
+    #[test]
+    fn tensor3_rect_matches_naive_and_scalar() {
+        use crate::lagrange::interp_matrix;
+        // Every specialized dealiasing pair, both directions, plus two
+        // shapes that take the runtime-bound body.
+        let shapes = [
+            (4usize, 6usize),
+            (6, 9),
+            (8, 12),
+            (10, 15),
+            (12, 18),
+            (5, 8),
+            (7, 11),
+        ];
+        let mut s = Tensor3Scratch::new();
+        for (n, m) in shapes {
+            let fine = interp_matrix(&gll(n).points, &gll(m).points);
+            let coarse = fine.transpose();
+            let skew = DMat::from_fn(m, n, |i, j| ((i * 7 + j * 3) as f64).sin());
+            for (a1, a2, a3) in [
+                (&fine, &fine, &fine),
+                (&coarse, &coarse, &coarse),
+                (&fine, &skew, &fine),
+            ] {
+                let (rows, cols) = (a1.rows(), a1.cols());
+                let u = rand_vec(cols * cols * cols, (n * 31 + rows) as u64);
+                let mut out = vec![0.0; rows * rows * rows];
+                tensor3_rect(a1, a2, a3, &u, &mut out, &mut s);
+                let naive = tensor_apply3_naive(a1, a2, a3, &u);
+                let scale = naive.iter().fold(1.0f64, |acc, v| acc.max(v.abs()));
+                for (f, r) in out.iter().zip(&naive) {
+                    assert!((f - r).abs() <= 1e-12 * scale, "{cols}->{rows}: {f} vs {r}");
+                }
+                let mut out2 = vec![0.0; rows * rows * rows];
+                tensor3_rect_scalar(a1, a2, a3, &u, &mut out2, &mut s);
+                for (f, r) in out.iter().zip(&out2) {
+                    assert_eq!(f.to_bits(), r.to_bits(), "{cols}->{rows} scalar twin");
+                }
             }
         }
     }

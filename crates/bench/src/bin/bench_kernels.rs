@@ -1,10 +1,10 @@
 //! **bench_kernels** — serial vs pooled hot-kernel timings.
 //!
-//! Times the four kernels the persistent worker pool accelerates —
-//! Helmholtz apply, solver dot product, gather-scatter local phase, and
-//! the element-FDM batch sweep — at polynomial degrees 5, 7 and 9, serial
-//! against pooled, and writes an `rbx.bench.v1` record (validated by
-//! `telemetry_check --bench`).
+//! Times the five kernels the persistent worker pool accelerates —
+//! Helmholtz apply, solver dot product, gather-scatter local phase, the
+//! element-FDM batch sweep and the four-field dealiased advection sweep —
+//! at polynomial degrees 5, 7 and 9, serial against pooled, and writes an
+//! `rbx.bench.v1` record (validated by `telemetry_check --bench`).
 //!
 //! ```sh
 //! cargo run --release -p rbx-bench --bin bench_kernels -- \
@@ -31,6 +31,7 @@
 //! accumulate a performance trajectory instead of overwriting it.
 
 use rbx::comm::SingleComm;
+use rbx::core::diffops::{Dealias, DiffScratch};
 use rbx::device::WorkerPool;
 use rbx::gs::{GatherScatter, GsOp};
 use rbx::la::helmholtz::{HelmholtzOp, HelmholtzScratch};
@@ -333,6 +334,31 @@ fn main() {
         assert_eq!(z_serial, z, "pooled FDM sweep diverged at p={p}");
         gate_rows.push(("fdm_batch", p, serial / pooled, dispatched));
         rows.push(row("fdm_batch", p, serial, pooled));
+
+        // Dealiased advection: one sweep for all four advected fields
+        // (u, v, w, T) of a step, the velocity advecting itself.
+        let dealias = Dealias::new(&geom, true);
+        let t: Vec<f64> = (0..n)
+            .map(|i| ((i * 13 % 71) as f64) * 0.015 - 0.5)
+            .collect();
+        let a = [&u[..], &b[..], &t[..]];
+        let vs = [a[0], a[1], a[2], &t[..]];
+        let mut ds = DiffScratch::default();
+        let mut adv = [vec![0.0; n], vec![0.0; n], vec![0.0; n], vec![0.0; n]];
+        let serial = time_us(reps, || {
+            let [o0, o1, o2, o3] = &mut adv;
+            let outs = [&mut o0[..], &mut o1[..], &mut o2[..], &mut o3[..]];
+            dealias.advect_fields(&geom, a, vs, outs, &mut ds);
+        });
+        let adv_serial = adv.clone();
+        let (pooled, dispatched) = time_pooled(reps, &pool, &mut || {
+            let [o0, o1, o2, o3] = &mut adv;
+            let outs = [&mut o0[..], &mut o1[..], &mut o2[..], &mut o3[..]];
+            dealias.advect_fields_with(&geom, a, vs, outs, &pool);
+        });
+        assert_eq!(adv_serial, adv, "pooled advection sweep diverged at p={p}");
+        gate_rows.push(("dealias_advect", p, serial / pooled, dispatched));
+        rows.push(row("dealias_advect", p, serial, pooled));
     }
 
     for r in &rows {

@@ -8,35 +8,89 @@
 //! finer GLL grid, the nonlinear product is formed there, and the result is
 //! L²-projected back through the diagonal coarse mass.
 
+use rbx_basis::fused::{tensor3_rect, Tensor3Scratch};
 use rbx_basis::simd;
-use rbx_basis::tensor::{deriv_x, deriv_y, deriv_z, tensor_apply3, TensorScratch};
+use rbx_basis::tensor::{deriv_x, deriv_y, deriv_z};
 use rbx_basis::{dealias_nodes, gll, interp_matrix, DMat};
 use rbx_device::{loop_chunk, tuning, RangePtr, WorkerPool};
 use rbx_mesh::GeomFactors;
 use std::cell::RefCell;
 
-/// Scratch buffers for the gradient/advection kernels.
+/// Element-local scratch for the gradient, divergence and advection
+/// kernels; `resize` is a no-op once warm, so a reused scratch makes the
+/// kernels allocation-free.
 #[derive(Debug, Default)]
 pub struct DiffScratch {
-    ur: Vec<f64>,
-    us: Vec<f64>,
-    ut: Vec<f64>,
-}
-
-/// Per-worker scratch for the pooled kernels; lives in a thread-local so
-/// repeated dispatches reuse the same buffers (`resize` is a no-op once
-/// warm — the zero-allocation dispatch contract of the pool runtime).
-#[derive(Default)]
-struct PoolDiffScratch {
-    ds: DiffScratch,
-    ts: TensorScratch,
+    /// Reference-space derivatives (or metric-weighted fluxes) of one element.
+    r: [Vec<f64>; 3],
+    /// Physical gradient of the advected field on one element.
+    g: [Vec<f64>; 3],
+    /// Advecting velocity on the fine grid.
     fine_a: [Vec<f64>; 3],
     fine_g: Vec<f64>,
     prod: Vec<f64>,
+    ts: Tensor3Scratch,
+}
+
+impl DiffScratch {
+    fn prepare_coarse(&mut self, nn: usize) {
+        for r in &mut self.r {
+            r.resize(nn, 0.0);
+        }
+    }
 }
 
 thread_local! {
-    static POOL_SCRATCH: RefCell<PoolDiffScratch> = RefCell::new(PoolDiffScratch::default());
+    /// Per-worker scratch for the pooled kernels; lives in a thread-local
+    /// so repeated dispatches reuse the same buffers (the zero-allocation
+    /// dispatch contract of the pool runtime).
+    static POOL_SCRATCH: RefCell<DiffScratch> = RefCell::new(DiffScratch::default());
+}
+
+/// Physical gradient of one element: reference derivatives of `ue`, then
+/// the chain rule through the inverse-map metrics at node offset `base`.
+/// Each `r` buffer must hold `n³` nodes.
+fn grad_element(
+    geom: &GeomFactors,
+    base: usize,
+    ue: &[f64],
+    [gx, gy, gz]: [&mut [f64]; 3],
+    [ur, us, ut]: &mut [Vec<f64>; 3],
+) {
+    let n = geom.nx1;
+    let nn = n * n * n;
+    deriv_x(&geom.d, ue, ur, n);
+    deriv_y(&geom.d, ue, us, n);
+    deriv_z(&geom.d, ue, ut, n);
+    let (ur, us, ut) = (&ur[..nn], &us[..nn], &ut[..nn]);
+    let m = |k: usize| &geom.dr[k][base..base + nn];
+    simd::combine3(gx, m(0), ur, m(3), us, m(6), ut);
+    simd::combine3(gy, m(1), ur, m(4), us, m(7), ut);
+    simd::combine3(gz, m(2), ur, m(5), us, m(8), ut);
+}
+
+/// Weak divergence of one element at node offset `base` into `oe`.
+/// Each `r` buffer must hold `n³` nodes.
+fn weak_divergence_element(
+    geom: &GeomFactors,
+    base: usize,
+    v: [&[f64]; 3],
+    oe: &mut [f64],
+    [wr, ws, wt]: &mut [Vec<f64>; 3],
+) {
+    use rbx_basis::tensor::{deriv_x_t_add, deriv_y_t_add, deriv_z_t_add};
+    let n = geom.nx1;
+    let nn = n * n * n;
+    let bj = &geom.mass[base..base + nn];
+    let m = |k: usize| &geom.dr[k][base..base + nn];
+    let [vx, vy, vz] = v.map(|c| &c[base..base + nn]);
+    simd::wcombine3(&mut wr[..nn], bj, m(0), vx, m(1), vy, m(2), vz);
+    simd::wcombine3(&mut ws[..nn], bj, m(3), vx, m(4), vy, m(5), vz);
+    simd::wcombine3(&mut wt[..nn], bj, m(6), vx, m(7), vy, m(8), vz);
+    oe.fill(0.0);
+    deriv_x_t_add(&geom.d, wr, oe, n);
+    deriv_y_t_add(&geom.d, ws, oe, n);
+    deriv_z_t_add(&geom.d, wt, oe, n);
 }
 
 /// Pointwise physical gradient `(∂u/∂x, ∂u/∂y, ∂u/∂z)` of a scalar field.
@@ -51,44 +105,15 @@ pub fn phys_grad(
     let n = geom.nx1;
     let nn = n * n * n;
     debug_assert_eq!(u.len(), geom.total_nodes());
-    scratch.ur.resize(nn, 0.0);
-    scratch.us.resize(nn, 0.0);
-    scratch.ut.resize(nn, 0.0);
+    scratch.prepare_coarse(nn);
     for e in 0..geom.nelv {
         let base = e * nn;
-        let ue = &u[base..base + nn];
-        deriv_x(&geom.d, ue, &mut scratch.ur, n);
-        deriv_y(&geom.d, ue, &mut scratch.us, n);
-        deriv_z(&geom.d, ue, &mut scratch.ut, n);
-        let dr = &geom.dr;
-        let (ur, us, ut) = (&scratch.ur[..nn], &scratch.us[..nn], &scratch.ut[..nn]);
-        simd::combine3(
+        let g = [
             &mut gx[base..base + nn],
-            &dr[0][base..base + nn],
-            ur,
-            &dr[3][base..base + nn],
-            us,
-            &dr[6][base..base + nn],
-            ut,
-        );
-        simd::combine3(
             &mut gy[base..base + nn],
-            &dr[1][base..base + nn],
-            ur,
-            &dr[4][base..base + nn],
-            us,
-            &dr[7][base..base + nn],
-            ut,
-        );
-        simd::combine3(
             &mut gz[base..base + nn],
-            &dr[2][base..base + nn],
-            ur,
-            &dr[5][base..base + nn],
-            us,
-            &dr[8][base..base + nn],
-            ut,
-        );
+        ];
+        grad_element(geom, base, &u[base..base + nn], g, &mut scratch.r);
     }
 }
 
@@ -107,56 +132,19 @@ pub fn phys_grad_with(
     let nn = n * n * n;
     let nelv = geom.nelv;
     debug_assert_eq!(u.len(), geom.total_nodes());
-    let gxp = RangePtr::new(gx);
-    let gyp = RangePtr::new(gy);
-    let gzp = RangePtr::new(gz);
+    let gp = [RangePtr::new(gx), RangePtr::new(gy), RangePtr::new(gz)];
     let chunk = loop_chunk(nelv, pool.threads());
     pool.for_each_range_min(nelv, chunk, tuning().grad_elems, |e0, e1| {
         POOL_SCRATCH.with(|cell| {
-            let s = &mut cell.borrow_mut().ds;
-            s.ur.resize(nn, 0.0);
-            s.us.resize(nn, 0.0);
-            s.ut.resize(nn, 0.0);
+            let s = &mut *cell.borrow_mut();
+            s.prepare_coarse(nn);
             for e in e0..e1 {
                 let base = e * nn;
-                let ue = &u[base..base + nn];
-                deriv_x(&geom.d, ue, &mut s.ur, n);
-                deriv_y(&geom.d, ue, &mut s.us, n);
-                deriv_z(&geom.d, ue, &mut s.ut, n);
-                // SAFETY: element ranges of distinct chunks are disjoint.
-                let gxs = unsafe { gxp.range_mut(base, base + nn) };
-                // SAFETY: same disjoint-chunk invariant as `gxs` above.
-                let gys = unsafe { gyp.range_mut(base, base + nn) };
-                let gzs = unsafe { gzp.range_mut(base, base + nn) };
-                let dr = &geom.dr;
-                let (ur, us, ut) = (&s.ur[..nn], &s.us[..nn], &s.ut[..nn]);
-                simd::combine3(
-                    gxs,
-                    &dr[0][base..base + nn],
-                    ur,
-                    &dr[3][base..base + nn],
-                    us,
-                    &dr[6][base..base + nn],
-                    ut,
-                );
-                simd::combine3(
-                    gys,
-                    &dr[1][base..base + nn],
-                    ur,
-                    &dr[4][base..base + nn],
-                    us,
-                    &dr[7][base..base + nn],
-                    ut,
-                );
-                simd::combine3(
-                    gzs,
-                    &dr[2][base..base + nn],
-                    ur,
-                    &dr[5][base..base + nn],
-                    us,
-                    &dr[8][base..base + nn],
-                    ut,
-                );
+                let g = gp.each_ref().map(|p| {
+                    // SAFETY: element ranges of distinct chunks are disjoint.
+                    unsafe { p.range_mut(base, base + nn) }
+                });
+                grad_element(geom, base, &u[base..base + nn], g, &mut s.r);
             }
         });
     });
@@ -209,56 +197,12 @@ pub fn weak_divergence(
     out: &mut [f64],
     scratch: &mut DiffScratch,
 ) {
-    use rbx_basis::tensor::{deriv_x_t_add, deriv_y_t_add, deriv_z_t_add};
     let n = geom.nx1;
     let nn = n * n * n;
-    scratch.ur.resize(nn, 0.0);
-    scratch.us.resize(nn, 0.0);
-    scratch.ut.resize(nn, 0.0);
+    scratch.prepare_coarse(nn);
     for e in 0..geom.nelv {
         let base = e * nn;
-        let dr = &geom.dr;
-        let bj = &geom.mass[base..base + nn];
-        let (vx, vy, vz) = (
-            &v[0][base..base + nn],
-            &v[1][base..base + nn],
-            &v[2][base..base + nn],
-        );
-        simd::wcombine3(
-            &mut scratch.ur[..nn],
-            bj,
-            &dr[0][base..base + nn],
-            vx,
-            &dr[1][base..base + nn],
-            vy,
-            &dr[2][base..base + nn],
-            vz,
-        );
-        simd::wcombine3(
-            &mut scratch.us[..nn],
-            bj,
-            &dr[3][base..base + nn],
-            vx,
-            &dr[4][base..base + nn],
-            vy,
-            &dr[5][base..base + nn],
-            vz,
-        );
-        simd::wcombine3(
-            &mut scratch.ut[..nn],
-            bj,
-            &dr[6][base..base + nn],
-            vx,
-            &dr[7][base..base + nn],
-            vy,
-            &dr[8][base..base + nn],
-            vz,
-        );
-        let oe = &mut out[base..base + nn];
-        oe.fill(0.0);
-        deriv_x_t_add(&geom.d, &scratch.ur, oe, n);
-        deriv_y_t_add(&geom.d, &scratch.us, oe, n);
-        deriv_z_t_add(&geom.d, &scratch.ut, oe, n);
+        weak_divergence_element(geom, base, v, &mut out[base..base + nn], &mut scratch.r);
     }
 }
 
@@ -270,7 +214,6 @@ pub fn weak_divergence_with(
     out: &mut [f64],
     pool: &WorkerPool,
 ) {
-    use rbx_basis::tensor::{deriv_x_t_add, deriv_y_t_add, deriv_z_t_add};
     let n = geom.nx1;
     let nn = n * n * n;
     let nelv = geom.nelv;
@@ -278,55 +221,13 @@ pub fn weak_divergence_with(
     let chunk = loop_chunk(nelv, pool.threads());
     pool.for_each_range_min(nelv, chunk, tuning().grad_elems, |e0, e1| {
         POOL_SCRATCH.with(|cell| {
-            let s = &mut cell.borrow_mut().ds;
-            s.ur.resize(nn, 0.0);
-            s.us.resize(nn, 0.0);
-            s.ut.resize(nn, 0.0);
+            let s = &mut *cell.borrow_mut();
+            s.prepare_coarse(nn);
             for e in e0..e1 {
                 let base = e * nn;
-                let dr = &geom.dr;
-                let bj = &geom.mass[base..base + nn];
-                let (vx, vy, vz) = (
-                    &v[0][base..base + nn],
-                    &v[1][base..base + nn],
-                    &v[2][base..base + nn],
-                );
-                simd::wcombine3(
-                    &mut s.ur[..nn],
-                    bj,
-                    &dr[0][base..base + nn],
-                    vx,
-                    &dr[1][base..base + nn],
-                    vy,
-                    &dr[2][base..base + nn],
-                    vz,
-                );
-                simd::wcombine3(
-                    &mut s.us[..nn],
-                    bj,
-                    &dr[3][base..base + nn],
-                    vx,
-                    &dr[4][base..base + nn],
-                    vy,
-                    &dr[5][base..base + nn],
-                    vz,
-                );
-                simd::wcombine3(
-                    &mut s.ut[..nn],
-                    bj,
-                    &dr[6][base..base + nn],
-                    vx,
-                    &dr[7][base..base + nn],
-                    vy,
-                    &dr[8][base..base + nn],
-                    vz,
-                );
                 // SAFETY: element ranges of distinct chunks are disjoint.
                 let oe = unsafe { op.range_mut(base, base + nn) };
-                oe.fill(0.0);
-                deriv_x_t_add(&geom.d, &s.ur, oe, n);
-                deriv_y_t_add(&geom.d, &s.us, oe, n);
-                deriv_z_t_add(&geom.d, &s.ut, oe, n);
+                weak_divergence_element(geom, base, v, oe, &mut s.r);
             }
         });
     });
@@ -359,8 +260,10 @@ pub fn pointwise_divergence(
 pub struct Dealias {
     /// Fine 1-D node count `⌈3(p+1)/2⌉`.
     pub mf: usize,
-    /// Coarse→fine interpolation matrix (per dimension).
+    /// Coarse→fine interpolation matrix (per dimension, `mf × n`).
     jmat: DMat,
+    /// Its transpose, the fine→coarse projection (`n × mf`).
+    jt: DMat,
     /// Fine-grid diagonal mass per element node (`w_f³ · J_f`).
     bf: Vec<f64>,
     enabled: bool,
@@ -380,28 +283,29 @@ impl Dealias {
         let nn = n * n * n;
         let mmf = mf * mf * mf;
         let mut bf = vec![0.0; geom.nelv * mmf];
-        let mut scratch = TensorScratch::new();
-        let mut jf = vec![0.0; mmf];
+        let mut ts = Tensor3Scratch::new();
         for e in 0..geom.nelv {
-            tensor_apply3(
+            let jf = &mut bf[e * mmf..(e + 1) * mmf];
+            tensor3_rect(
                 &jmat,
                 &jmat,
                 &jmat,
                 &geom.jac[e * nn..(e + 1) * nn],
-                &mut jf,
-                &mut scratch,
+                jf,
+                &mut ts,
             );
             for k in 0..mf {
                 for j in 0..mf {
                     for i in 0..mf {
                         let w3 = fine.weights[i] * fine.weights[j] * fine.weights[k];
-                        bf[e * mmf + i + mf * (j + mf * k)] = w3 * jf[i + mf * (j + mf * k)];
+                        jf[i + mf * (j + mf * k)] *= w3;
                     }
                 }
             }
         }
         Self {
             mf,
+            jt: jmat.transpose(),
             jmat,
             bf,
             enabled,
@@ -413,7 +317,6 @@ impl Dealias {
     /// The physical gradient of `v` is formed on the collocation grid;
     /// gradient and advecting velocity are interpolated to the fine grid,
     /// multiplied there, and projected back through the coarse mass.
-    // audit:allow(hot-alloc): field-sized scratch per call; a shared scratch arena is the planned fix (ROADMAP), and each allocation is amortized by the O(N) kernel work that follows
     pub fn advect(
         &self,
         geom: &GeomFactors,
@@ -422,63 +325,11 @@ impl Dealias {
         out: &mut [f64],
         scratch: &mut DiffScratch,
     ) {
-        let ntot = geom.total_nodes();
-        let mut gx = vec![0.0; ntot];
-        let mut gy = vec![0.0; ntot];
-        let mut gz = vec![0.0; ntot];
-        phys_grad(geom, v, &mut gx, &mut gy, &mut gz, scratch);
-
-        if !self.enabled {
-            simd::combine3(&mut out[..ntot], a[0], &gx, a[1], &gy, a[2], &gz);
-            return;
-        }
-
-        let n = geom.nx1;
-        let nn = n * n * n;
-        let mf = self.mf;
-        let mmf = mf * mf * mf;
-        let mut ts = TensorScratch::new();
-        let mut fine_a = [vec![0.0; mmf], vec![0.0; mmf], vec![0.0; mmf]];
-        let mut fine_g = vec![0.0; mmf];
-        let mut prod = vec![0.0; mmf];
-        let jt = self.jmat.transpose();
-        for e in 0..geom.nelv {
-            let base = e * nn;
-            for d in 0..3 {
-                tensor_apply3(
-                    &self.jmat,
-                    &self.jmat,
-                    &self.jmat,
-                    &a[d][base..base + nn],
-                    &mut fine_a[d],
-                    &mut ts,
-                );
-            }
-            prod.fill(0.0);
-            for (d, g) in [&gx, &gy, &gz].into_iter().enumerate() {
-                tensor_apply3(
-                    &self.jmat,
-                    &self.jmat,
-                    &self.jmat,
-                    &g[base..base + nn],
-                    &mut fine_g,
-                    &mut ts,
-                );
-                simd::fma_acc(&fine_a[d], &fine_g, &mut prod);
-            }
-            // Weight by the fine mass and project back: B_c·out = Jᵀ(B_f·prod).
-            simd::hadamard(&self.bf[e * mmf..(e + 1) * mmf], &mut prod);
-            let oe = &mut out[base..base + nn];
-            tensor_apply3(&jt, &jt, &jt, &prod, oe, &mut ts);
-            for (o, m) in oe.iter_mut().zip(&geom.mass[base..base + nn]) {
-                *o /= m;
-            }
-        }
+        self.advect_fields(geom, a, [v], [out], scratch);
     }
 
-    /// Pooled [`Dealias::advect`]: the collocation gradient and the
-    /// per-element fine-grid product both self-schedule across the pool.
-    /// Bitwise identical to the serial operator for every thread count.
+    /// Pooled one-field [`Dealias::advect`]. Bitwise identical to the
+    /// serial operator for every thread count.
     pub fn advect_with(
         &self,
         geom: &GeomFactors,
@@ -487,86 +338,118 @@ impl Dealias {
         out: &mut [f64],
         pool: &WorkerPool,
     ) {
-        let ntot = geom.total_nodes();
-        // audit:allow(hot-alloc): whole-field gradient buffers are read concurrently by every pool worker in the product stage — shared immutable data, not per-worker scratch
-        let mut gx = vec![0.0; ntot];
-        // audit:allow(hot-alloc): whole-field gradient buffers are read concurrently by every pool worker in the product stage — shared immutable data, not per-worker scratch
-        let mut gy = vec![0.0; ntot];
-        // audit:allow(hot-alloc): whole-field gradient buffers are read concurrently by every pool worker in the product stage — shared immutable data, not per-worker scratch
-        let mut gz = vec![0.0; ntot];
-        phys_grad_with(geom, v, &mut gx, &mut gy, &mut gz, pool);
+        self.advect_fields_with(geom, a, [v], [out], pool);
+    }
 
-        if !self.enabled {
-            let op = RangePtr::new(out);
-            let chunk = loop_chunk(ntot, pool.threads());
-            pool.for_each_range_min(ntot, chunk, tuning().elemwise_len, |i0, i1| {
-                // SAFETY: chunk ranges are pairwise disjoint.
-                let os = unsafe { op.range_mut(i0, i1) };
-                simd::combine3(
-                    os,
-                    &a[0][i0..i1],
-                    &gx[i0..i1],
-                    &a[1][i0..i1],
-                    &gy[i0..i1],
-                    &a[2][i0..i1],
-                    &gz[i0..i1],
-                );
-            });
-            return;
-        }
+    /// `outs[f] = (a·∇)vs[f]` for every field in one element sweep: the
+    /// advecting velocity is interpolated to the fine grid once per
+    /// element and reused by every field. Each output is bitwise what a
+    /// one-field [`Dealias::advect`] of that field gives.
+    pub fn advect_fields<const K: usize>(
+        &self,
+        geom: &GeomFactors,
+        a: [&[f64]; 3],
+        vs: [&[f64]; K],
+        outs: [&mut [f64]; K],
+        scratch: &mut DiffScratch,
+    ) {
+        let outs = outs.map(RangePtr::new);
+        // SAFETY: one sweep over every element, on this thread only.
+        unsafe { self.sweep(geom, a, &vs, &outs, 0, geom.nelv, scratch) };
+    }
 
-        let n = geom.nx1;
-        let nn = n * n * n;
+    /// Pooled [`Dealias::advect_fields`]: element chunks self-schedule
+    /// across the pool, each worker on its own thread-local scratch.
+    /// Bitwise identical to the serial sweep for every thread count.
+    pub fn advect_fields_with<const K: usize>(
+        &self,
+        geom: &GeomFactors,
+        a: [&[f64]; 3],
+        vs: [&[f64]; K],
+        outs: [&mut [f64]; K],
+        pool: &WorkerPool,
+    ) {
         let nelv = geom.nelv;
-        let mf = self.mf;
-        let mmf = mf * mf * mf;
-        // Transposed interpolation matrix, shared read-only by all workers
-        // (one small alloc per apply, same as the serial path).
-        let jt = self.jmat.transpose();
-        let op = RangePtr::new(out);
+        let outs = outs.map(RangePtr::new);
         let chunk = loop_chunk(nelv, pool.threads());
         pool.for_each_range_min(nelv, chunk, tuning().grad_elems, |e0, e1| {
             POOL_SCRATCH.with(|cell| {
-                let s = &mut *cell.borrow_mut();
-                for d in 0..3 {
-                    s.fine_a[d].resize(mmf, 0.0);
-                }
-                s.fine_g.resize(mmf, 0.0);
-                s.prod.resize(mmf, 0.0);
-                for e in e0..e1 {
-                    let base = e * nn;
-                    for d in 0..3 {
-                        tensor_apply3(
-                            &self.jmat,
-                            &self.jmat,
-                            &self.jmat,
-                            &a[d][base..base + nn],
-                            &mut s.fine_a[d],
-                            &mut s.ts,
-                        );
-                    }
-                    s.prod.fill(0.0);
-                    for (d, g) in [&gx, &gy, &gz].into_iter().enumerate() {
-                        tensor_apply3(
-                            &self.jmat,
-                            &self.jmat,
-                            &self.jmat,
-                            &g[base..base + nn],
-                            &mut s.fine_g,
-                            &mut s.ts,
-                        );
-                        simd::fma_acc(&s.fine_a[d], &s.fine_g, &mut s.prod);
-                    }
-                    simd::hadamard(&self.bf[e * mmf..(e + 1) * mmf], &mut s.prod);
-                    // SAFETY: element ranges of distinct chunks are disjoint.
-                    let oe = unsafe { op.range_mut(base, base + nn) };
-                    tensor_apply3(&jt, &jt, &jt, &s.prod, oe, &mut s.ts);
-                    for (o, m) in oe.iter_mut().zip(&geom.mass[base..base + nn]) {
-                        *o /= m;
-                    }
-                }
+                // SAFETY: element ranges of distinct chunks are disjoint.
+                unsafe { self.sweep(geom, a, &vs, &outs, e0, e1, &mut cell.borrow_mut()) };
             });
         });
+    }
+
+    /// The element body every advection entry point runs, over elements
+    /// `e0..e1`. Per element: the advecting velocity goes to the fine
+    /// grid once (3 interpolations); then per field the element-local
+    /// gradient is interpolated (3), multiplied with the velocity and the
+    /// fine mass, and projected back (1) — `3 + 4K` tensor applies.
+    ///
+    /// # Safety
+    /// Each `outs` pointer must span the whole field, and no other thread
+    /// may touch its nodes of elements `e0..e1` during the call.
+    #[allow(clippy::too_many_arguments)]
+    // SAFETY: the obligations above are discharged by the two callers,
+    // `advect_fields` (one thread, all elements) and `advect_fields_with`
+    // (disjoint element chunks).
+    unsafe fn sweep(
+        &self,
+        geom: &GeomFactors,
+        a: [&[f64]; 3],
+        vs: &[&[f64]],
+        outs: &[RangePtr<f64>],
+        e0: usize,
+        e1: usize,
+        s: &mut DiffScratch,
+    ) {
+        let n = geom.nx1;
+        let nn = n * n * n;
+        let mmf = self.mf * self.mf * self.mf;
+        s.prepare_coarse(nn);
+        for g in &mut s.g {
+            g.resize(nn, 0.0);
+        }
+        if self.enabled {
+            for f in &mut s.fine_a {
+                f.resize(mmf, 0.0);
+            }
+            s.fine_g.resize(mmf, 0.0);
+            s.prod.resize(mmf, 0.0);
+        }
+        let j = &self.jmat;
+        for e in e0..e1 {
+            let base = e * nn;
+            let ae = a.map(|c| &c[base..base + nn]);
+            if self.enabled {
+                for (ad, fa) in ae.iter().zip(&mut s.fine_a) {
+                    tensor3_rect(j, j, j, ad, fa, &mut s.ts);
+                }
+            }
+            for (v, out) in vs.iter().zip(outs) {
+                let g = s.g.each_mut().map(Vec::as_mut_slice);
+                grad_element(geom, base, &v[base..base + nn], g, &mut s.r);
+                // SAFETY: `e` is in `e0..e1`, exclusively ours (fn contract).
+                let oe = unsafe { out.range_mut(base, base + nn) };
+                if !self.enabled {
+                    let [gx, gy, gz] = &s.g;
+                    simd::combine3(oe, ae[0], gx, ae[1], gy, ae[2], gz);
+                    continue;
+                }
+                s.prod.fill(0.0);
+                for (g, fa) in s.g.iter().zip(&s.fine_a) {
+                    tensor3_rect(j, j, j, g, &mut s.fine_g, &mut s.ts);
+                    simd::fma_acc(fa, &s.fine_g, &mut s.prod);
+                }
+                // Weight by the fine mass and project back: B_c·out = Jᵀ(B_f·prod).
+                simd::hadamard(&self.bf[e * mmf..(e + 1) * mmf], &mut s.prod);
+                let jt = &self.jt;
+                tensor3_rect(jt, jt, jt, &s.prod, oe, &mut s.ts);
+                for (o, m) in oe.iter_mut().zip(&geom.mass[base..base + nn]) {
+                    *o /= m;
+                }
+            }
+        }
     }
 }
 
@@ -794,6 +677,77 @@ mod tests {
                 let mut padv = vec![0.0; ntot];
                 d.advect_with(&geom, [&ax, &ay, &az], &u, &mut padv, &pool);
                 assert_eq!(o, &padv, "advect threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn four_field_sweep_matches_one_field_calls_bitwise() {
+        // Box and curved cylinder at p = 5 and 7: the pooled four-field
+        // sweep must give the same bits at every thread count, and the
+        // same bits as one-field calls of the serial and pooled operator.
+        let cyl = CylinderParams {
+            n_z: 1,
+            ..CylinderParams::default()
+        };
+        let meshes = [
+            box_mesh(3, 2, 2, [0., 2.], [0., 1.], [0., 1.], false, false),
+            cylinder_mesh(cyl),
+        ];
+        for (mi, mesh) in meshes.iter().enumerate() {
+            for p in [5usize, 7] {
+                let geom = GeomFactors::new(mesh, p);
+                let ntot = geom.total_nodes();
+                let field = |seed: usize| -> Vec<f64> {
+                    (0..ntot)
+                        .map(|i| {
+                            let (x, y, z) =
+                                (geom.coords[0][i], geom.coords[1][i], geom.coords[2][i]);
+                            let k = (seed + 1) as f64;
+                            (k * x + 0.3).sin() * (1.7 * y - 0.2 * k).cos() + 0.1 * k * z * z
+                        })
+                        .collect()
+                };
+                let u = [field(0), field(1), field(2)];
+                let t = field(3);
+                let a = [&u[0][..], &u[1][..], &u[2][..]];
+                let vs = [a[0], a[1], a[2], &t[..]];
+                let dealias = Dealias::new(&geom, true);
+
+                let mut s = DiffScratch::default();
+                let mut serial = [vec![0.0; ntot], vec![0.0; ntot], vec![0.0; ntot]];
+                let mut serial_t = vec![0.0; ntot];
+                {
+                    let [o0, o1, o2] = &mut serial;
+                    let outs = [&mut o0[..], &mut o1[..], &mut o2[..], &mut serial_t[..]];
+                    dealias.advect_fields(&geom, a, vs, outs, &mut s);
+                }
+                let serial = [&serial[0], &serial[1], &serial[2], &serial_t];
+                for (f, v) in vs.iter().enumerate() {
+                    let mut one = vec![0.0; ntot];
+                    dealias.advect(&geom, a, v, &mut one, &mut s);
+                    assert_eq!(&one, serial[f], "mesh {mi} p={p} field {f}: advect");
+                }
+
+                for threads in [1usize, 2, 3] {
+                    let pool = rbx_device::WorkerPool::new(threads);
+                    let mut pooled = [
+                        vec![0.0; ntot],
+                        vec![0.0; ntot],
+                        vec![0.0; ntot],
+                        vec![0.0; ntot],
+                    ];
+                    let [o0, o1, o2, o3] = &mut pooled;
+                    let outs = [&mut o0[..], &mut o1[..], &mut o2[..], &mut o3[..]];
+                    dealias.advect_fields_with(&geom, a, vs, outs, &pool);
+                    for (f, v) in vs.iter().enumerate() {
+                        let label = format!("mesh {mi} p={p} threads={threads} field {f}");
+                        assert_eq!(&pooled[f], serial[f], "{label}: four-field sweep");
+                        let mut one = vec![0.0; ntot];
+                        dealias.advect_with(&geom, a, v, &mut one, &pool);
+                        assert_eq!(&one, serial[f], "{label}: advect_with");
+                    }
+                }
             }
         }
     }

@@ -392,36 +392,17 @@ impl<'a> Simulation<'a> {
         let u = &self.state.u;
         let mut f = [vec![0.0; n], vec![0.0; n], vec![0.0; n]];
         let mut ft = vec![0.0; n];
+        let a = [&u[0][..], &u[1][..], &u[2][..]];
+        let vs = [a[0], a[1], a[2], &self.state.t[..]];
+        let [f0, f1, f2] = &mut f;
+        let outs = [&mut f0[..], &mut f1[..], &mut f2[..], &mut ft[..]];
         if let Some(pool) = &self.pool {
             let _g = self.tel.span_abs("pool/advect");
-            for d in 0..3 {
-                self.dealias
-                    .advect_with(&self.geom, [&u[0], &u[1], &u[2]], &u[d], &mut f[d], pool);
-            }
-            self.dealias.advect_with(
-                &self.geom,
-                [&u[0], &u[1], &u[2]],
-                &self.state.t,
-                &mut ft,
-                pool,
-            );
+            self.dealias
+                .advect_fields_with(&self.geom, a, vs, outs, pool);
         } else {
-            for d in 0..3 {
-                self.dealias.advect(
-                    &self.geom,
-                    [&u[0], &u[1], &u[2]],
-                    &u[d],
-                    &mut f[d],
-                    &mut self.scratch_d,
-                );
-            }
-            self.dealias.advect(
-                &self.geom,
-                [&u[0], &u[1], &u[2]],
-                &self.state.t,
-                &mut ft,
-                &mut self.scratch_d,
-            );
+            self.dealias
+                .advect_fields(&self.geom, a, vs, outs, &mut self.scratch_d);
         }
         for i in 0..n {
             f[0][i] = -f[0][i];

@@ -11,10 +11,10 @@
 //! off-specialization degree that exercises the runtime-`n` fallback.
 
 use rbx::basis::fused::{
-    helmholtz_element, helmholtz_element_scalar, tensor3, tensor3_scalar, FusedScratch,
-    Tensor3Scratch,
+    helmholtz_element, helmholtz_element_scalar, tensor3, tensor3_rect, tensor3_rect_scalar,
+    tensor3_scalar, FusedScratch, Tensor3Scratch,
 };
-use rbx::basis::{deriv_matrix, gll, DMat};
+use rbx::basis::{dealias_nodes, deriv_matrix, gll, interp_matrix, DMat};
 use rbx::comm::SingleComm;
 use rbx::device::WorkerPool;
 use rbx::gs::GatherScatter;
@@ -191,6 +191,22 @@ fn dispatched_matches_scalar_to_zero_ulp() {
         tensor3(&a1, &a2, &a3, &u, &mut t_dispatched, &mut ts);
         tensor3_scalar(&a1, &a2, &a3, &u, &mut t_scalar, &mut ts);
         assert_bits(&format!("tensor3 n={n}"), &t_dispatched, &t_scalar);
+
+        // Rectangular apply: the 3/2-rule interpolation n → m and the
+        // projection back m → n.
+        let m = dealias_nodes(n - 1);
+        let j = interp_matrix(&gll(n).points, &gll(m).points);
+        let jt = j.transpose();
+        let mut f_dispatched = vec![0.0; m * m * m];
+        let mut f_scalar = vec![0.0; m * m * m];
+        tensor3_rect(&j, &j, &j, &u, &mut f_dispatched, &mut ts);
+        tensor3_rect_scalar(&j, &j, &j, &u, &mut f_scalar, &mut ts);
+        assert_bits(&format!("tensor3_rect {n}->{m}"), &f_dispatched, &f_scalar);
+        let mut c_dispatched = vec![0.0; nn];
+        let mut c_scalar = vec![0.0; nn];
+        tensor3_rect(&jt, &jt, &jt, &f_dispatched, &mut c_dispatched, &mut ts);
+        tensor3_rect_scalar(&jt, &jt, &jt, &f_dispatched, &mut c_scalar, &mut ts);
+        assert_bits(&format!("tensor3_rect {m}->{n}"), &c_dispatched, &c_scalar);
     }
 }
 
